@@ -1,5 +1,6 @@
 #include "selin/core/astar.hpp"
 
+#include <atomic>
 #include <stdexcept>
 
 namespace selin {
@@ -42,8 +43,15 @@ AStar::Result AStar::apply_op(ProcId i, const OpDesc& op) {
   announce_->write(i, node);
   if (sink_ != nullptr) sink_->on_write(op);
 
-  // Lines 03-04: the black-box call into A.
+  // Lines 03-04: the black-box call into A.  The paper's base objects are
+  // atomic; N's write/scan are only release/acquire and A may be too, so a
+  // store could pass a later load (x86 store buffering): A's step would
+  // miss an announce that the scan order says came first, and the views
+  // would order ops against A's real order.  The two fences keep A's steps
+  // between this op's Write and its Snapshot in every process's view.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   Value y = a_->apply(i, op);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
 
   // Lines 05-06: λ_i ← union of a Snapshot of N.
   std::vector<const SetNode*> heads = announce_->scan(i);

@@ -1,6 +1,6 @@
 #include "selin/io/history_io.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -9,8 +9,27 @@
 
 namespace selin {
 
-std::optional<Method> parse_method(const std::string& name) {
-  static const std::pair<const char*, Method> kTable[] = {
+namespace {
+
+// The C-locale std::isspace set, without the locale lookup.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// Whole-token decimal integer: no sign for unsigned T, no '+', no
+/// trailing characters, no wrap-around on overflow.
+template <typename T>
+bool parse_int(std::string_view tok, T& out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
+std::optional<Method> parse_method(std::string_view name) {
+  static constexpr std::pair<std::string_view, Method> kTable[] = {
       {"Enqueue", Method::kEnqueue},     {"Dequeue", Method::kDequeue},
       {"Push", Method::kPush},           {"Pop", Method::kPop},
       {"Insert", Method::kInsert},       {"Remove", Method::kRemove},
@@ -45,68 +64,60 @@ bool method_takes_arg(Method m) {
   }
 }
 
-std::optional<Value> parse_value(const std::string& token) {
+std::optional<Value> parse_value(std::string_view token) {
   if (token == "empty") return kEmpty;
   if (token == "ok") return kOk;
   if (token == "true") return kTrue;
   if (token == "false") return kFalse;
   if (token == "error") return kError;
-  try {
-    size_t pos = 0;
-    Value v = std::stoll(token, &pos);
-    if (pos != token.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  Value v;
+  if (!parse_int(token, v)) return std::nullopt;
+  return v;
 }
 
-std::optional<Event> parse_history_line(const std::string& input,
+std::optional<Event> parse_history_line(std::string_view line,
                                         size_t lineno) {
-  // Tokenize in place (no line copy, no istringstream): this runs once per
-  // line of every streamed file, and tokens are short enough for SSO.
-  std::string_view line(input);
+  // Tokenize in place into views: this runs once per line of every streamed
+  // file, and a well-formed line has at most 6 tokens.  Tokens past the
+  // sixth are only counted — no rule reads them.
   size_t hash = line.find('#');
   if (hash != std::string_view::npos) line = line.substr(0, hash);
-  std::vector<std::string> tok;
+  constexpr size_t kMaxTok = 6;
+  std::string_view tok[kMaxTok];
+  size_t ntok = 0;
   size_t pos = 0;
   while (pos < line.size()) {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
+    while (pos < line.size() && is_space(line[pos])) ++pos;
     const size_t start = pos;
-    while (pos < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
+    while (pos < line.size() && !is_space(line[pos])) ++pos;
+    if (pos > start) {
+      if (ntok < kMaxTok) tok[ntok] = line.substr(start, pos - start);
+      ++ntok;
     }
-    if (pos > start) tok.emplace_back(line.substr(start, pos - start));
   }
-  if (tok.empty()) return std::nullopt;
+  if (ntok == 0) return std::nullopt;
 
   if (tok[0] != "inv" && tok[0] != "res") {
-    throw HistoryParseError(lineno,
-                            "expected 'inv' or 'res', got '" + tok[0] + "'");
+    throw HistoryParseError(lineno, "expected 'inv' or 'res', got '" +
+                                        std::string(tok[0]) + "'");
   }
   bool is_inv = tok[0] == "inv";
-  if (tok.size() < 4) {
+  if (ntok < 4) {
     throw HistoryParseError(lineno, "too few fields");
   }
   OpDesc op;
-  try {
-    op.id.pid = static_cast<ProcId>(std::stoul(tok[1]));
-    op.id.seq = static_cast<uint32_t>(std::stoul(tok[2]));
-  } catch (const std::exception&) {
+  if (!parse_int(tok[1], op.id.pid) || !parse_int(tok[2], op.id.seq)) {
     throw HistoryParseError(lineno, "bad pid/seq");
   }
   auto m = parse_method(tok[3]);
   if (!m.has_value()) {
-    throw HistoryParseError(lineno, "unknown method '" + tok[3] + "'");
+    throw HistoryParseError(lineno,
+                            "unknown method '" + std::string(tok[3]) + "'");
   }
   op.method = *m;
   size_t next = 4;
   if (method_takes_arg(*m)) {
-    if (tok.size() <= next) {
+    if (ntok <= next) {
       throw HistoryParseError(lineno, "method requires an argument");
     }
     auto arg = parse_value(tok[next++]);
@@ -114,12 +125,12 @@ std::optional<Event> parse_history_line(const std::string& input,
     op.arg = *arg;
   }
   if (is_inv) {
-    if (tok.size() != next) {
+    if (ntok != next) {
       throw HistoryParseError(lineno, "trailing tokens on invocation");
     }
     return Event::inv(op);
   }
-  if (tok.size() != next + 1) {
+  if (ntok != next + 1) {
     throw HistoryParseError(lineno, "response requires exactly one result");
   }
   auto res = parse_value(tok[next]);
@@ -135,32 +146,33 @@ std::optional<Event> HistoryStreamReader::next() {
     // Incremental well-formedness, same rules as well_formed(): violations
     // surface at the offending line rather than at end-of-stream.
     const ProcId p = e->op.id.pid;
-    auto it = pending_.find(p);
+    ProcState& ps = procs_[p];
     if (e->is_inv()) {
-      if (it != pending_.end()) {
+      if (ps.open) {
         throw HistoryParseError(
             lineno_, "history not well-formed: process p" + std::to_string(p) +
                          " invokes while an operation is pending");
       }
-      if (!seen_ops_[p].insert(e->op.id.seq)) {
+      if (!ps.seen.insert(e->op.id.seq)) {
         throw HistoryParseError(
             lineno_,
             "history not well-formed: duplicate invocation of " +
                 to_string(e->op));
       }
-      pending_.emplace(p, e->op);
+      ps.open = true;
+      ps.pending = e->op;
     } else {
-      if (it == pending_.end()) {
+      if (!ps.open) {
         throw HistoryParseError(
             lineno_, "history not well-formed: response without pending "
                      "invocation: " + to_string(*e));
       }
-      if (!(it->second == e->op)) {
+      if (!(ps.pending == e->op)) {
         throw HistoryParseError(
             lineno_, "history not well-formed: response " + to_string(*e) +
                          " does not match pending invocation");
       }
-      pending_.erase(it);
+      ps.open = false;
     }
     ++count_;
     return e;

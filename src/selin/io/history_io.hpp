@@ -11,9 +11,11 @@
 //     inv <pid> <seq> <Method> [arg]
 //     res <pid> <seq> <Method> [arg] <result>
 //
-// where <Method> is the enum spelling (Enqueue, Dequeue, Push, ...), [arg]
-// is required exactly for methods that take one, and values are integers or
-// the symbolic constants `empty`, `ok`, `true`, `false`, `error`.
+// where <pid> and <seq> are unsigned 32-bit decimals (digits only), <Method>
+// is the enum spelling (Enqueue, Dequeue, Push, ...), [arg] is required
+// exactly for methods that take one, and values are signed 64-bit decimals
+// (optional '-', no '+') or the symbolic constants `empty`, `ok`, `true`,
+// `false`, `error`.  A number must fill its whole token and fit its type.
 //
 // Example:
 //     inv 0 0 Enqueue 5
@@ -26,6 +28,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -54,7 +57,7 @@ History parse_history_string(const std::string& text);
 /// comment-only lines; throws HistoryParseError (tagged with `lineno`) on a
 /// malformed line.  The building block both parse_history and the streaming
 /// reader share.
-std::optional<Event> parse_history_line(const std::string& line,
+std::optional<Event> parse_history_line(std::string_view line,
                                         size_t lineno);
 
 /// Incremental, line-at-a-time history reader for streaming consumption —
@@ -109,12 +112,20 @@ class HistoryStreamReader {
     }
   };
 
+  /// Everything the checks need about one process, so an event costs one
+  /// lookup.  Keyed by pid in a map, not indexed by it: memory follows the
+  /// number of distinct pids, never their values.
+  struct ProcState {
+    bool open = false;
+    OpDesc pending;  // the open operation, while `open`
+    SeenSeqs seen;
+  };
+
   std::istream* in_;
   size_t lineno_ = 0;
   size_t count_ = 0;
   std::string linebuf_;
-  std::unordered_map<ProcId, OpDesc> pending_;   // per-process open op
-  std::unordered_map<ProcId, SeenSeqs> seen_ops_;
+  std::unordered_map<ProcId, ProcState> procs_;
 };
 
 /// Serializes a history in the format above (round-trips with parse).
@@ -122,10 +133,10 @@ void write_history(std::ostream& out, const History& h);
 std::string history_to_string(const History& h);
 
 /// Method-name spellings used by the format.
-std::optional<Method> parse_method(const std::string& name);
+std::optional<Method> parse_method(std::string_view name);
 bool method_takes_arg(Method m);
 
 /// Parses `empty`/`ok`/`true`/`false`/`error` or a decimal integer.
-std::optional<Value> parse_value(const std::string& token);
+std::optional<Value> parse_value(std::string_view token);
 
 }  // namespace selin

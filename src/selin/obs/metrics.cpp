@@ -16,7 +16,8 @@ size_t this_thread_lane() {
 
 void Histogram::record(uint64_t v) {
   buckets_[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
+  // Release: a reader whose (acquire) sum includes v also sees its bucket.
+  sum_.fetch_add(v, std::memory_order_release);
   uint64_t prev = max_.load(std::memory_order_relaxed);
   while (prev < v &&
          !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
@@ -119,11 +120,14 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         v.gauge = e.g->value();
         break;
       case MetricKind::kHistogram:
-        v.count = e.h->count();
+        // Sum first, then count from the very bucket loads exported: every
+        // record the sum includes is already in the buckets, so a
+        // concurrent writer can only make count run ahead of sum.
         v.sum = e.h->sum();
         v.max = e.h->max();
         for (size_t b = 0; b < Histogram::kBuckets; ++b) {
           const uint64_t n = e.h->bucket(b);
+          v.count += n;
           if (n != 0) v.buckets.emplace_back(Histogram::bucket_bound(b), n);
         }
         break;

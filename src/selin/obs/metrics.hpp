@@ -114,7 +114,9 @@ class Histogram {
   void record(uint64_t v);
 
   uint64_t count() const;
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  /// Acquire: pairs with record()'s release, so bucket loads made after
+  /// this call count every record the returned sum includes.
+  uint64_t sum() const { return sum_.load(std::memory_order_acquire); }
   uint64_t max() const { return max_.load(std::memory_order_relaxed); }
   uint64_t bucket(size_t b) const {
     return buckets_[b].load(std::memory_order_relaxed);

@@ -31,7 +31,10 @@
 //
 // Threading contract: open/feed/drain/close are controller-thread calls
 // (one caller, like every selin facade); the parallelism lives inside
-// drain_round.  Per-session queries are safe between drains.  The one
+// drain_round.  feed may also run inside an executor phase the controller
+// dispatched, as long as each session is fed by one slice only (feed
+// touches nothing but that session's buffer; selin_check parses and feeds
+// its files that way).  Per-session queries are safe between drains.  The one
 // cross-thread entry point is the MPSC feed: any number of producer threads
 // may publish event batches into a session's bounded *inbox* via
 // Session::try_publish (looked up through MonitorService::find), and the

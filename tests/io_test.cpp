@@ -85,6 +85,50 @@ TEST(HistoryIo, RejectsResponseWithoutResult) {
                HistoryParseError);
 }
 
+TEST(HistoryIo, PidAndSeqAreWholeUnsigned32BitTokens) {
+  // A trailing suffix, a sign, or a value past 2^32 - 1 is an error — not a
+  // silent prefix parse ("3x" -> 3), a wrap-around ("-1" -> 4294967295), or
+  // a truncation (4294967296 -> pid 0, aliasing another process).
+  for (const char* text :
+       {"inv 0 3x Read\n", "inv -1 0 Read\n", "inv 4294967296 0 Read\n",
+        "inv +1 0 Read\n", "inv 0 0x1 Read\n", "inv 0 99999999999 Read\n"}) {
+    try {
+      parse_history_string(text);
+      FAIL() << "accepted: " << text;
+    } catch (const HistoryParseError& e) {
+      EXPECT_EQ(e.line(), 1u) << text;
+      EXPECT_NE(std::string(e.what()).find("bad pid/seq"), std::string::npos)
+          << text << " -> " << e.what();
+    }
+  }
+  // The extremes parse exactly, and a huge pid is an ordinary process.
+  History h = parse_history_string(
+      "inv 4294967295 4294967295 Read\nres 4294967295 4294967295 Read 0\n"
+      "inv 4000000000 0 Write 1\nres 4000000000 0 Write 1 ok\n");
+  ASSERT_EQ(h.size(), 4u);
+  EXPECT_EQ(h[0].op.id.pid, 4294967295u);
+  EXPECT_EQ(h[0].op.id.seq, 4294967295u);
+  EXPECT_EQ(h[2].op.id.pid, 4000000000u);
+}
+
+TEST(HistoryIo, ValuesAreWholeSigned64BitTokens) {
+  EXPECT_EQ(parse_history_string("inv 0 0 Write -7\n")[0].op.arg, -7);
+  for (const char* text :
+       {"inv 0 0 Write 5x\n", "inv 0 0 Write +5\n",
+        "inv 0 0 Write 9223372036854775808\n", "inv 0 0 Write --1\n"}) {
+    try {
+      parse_history_string(text);
+      FAIL() << "accepted: " << text;
+    } catch (const HistoryParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad argument"), std::string::npos)
+          << text << " -> " << e.what();
+    }
+  }
+  EXPECT_THROW(
+      parse_history_string("inv 0 0 Read\nres 0 0 Read 1.5\n"),
+      HistoryParseError);
+}
+
 TEST(HistoryIo, RejectsMalformedHistory) {
   // Well-formedness is validated after parsing: response with no invocation.
   EXPECT_THROW(parse_history_string("res 0 0 Dequeue empty\n"),

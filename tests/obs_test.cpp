@@ -138,10 +138,14 @@ TEST(ObsRegistry, SnapshotIsConsistentUnderConcurrentWriters) {
     // Monotone counters never go backwards across snapshots.
     EXPECT_GE(ops->counter, last_count);
     last_count = ops->counter;
-    // Histogram sum is internally consistent with its count (every record
-    // is the same value, but count and sum are separate atomics, so allow
-    // the one-record skew a concurrent writer can produce).
-    EXPECT_LE(lat->sum, (lat->count + 4) * 42);
+    // Histogram sum is consistent with its count: every record is the same
+    // value, and the snapshot reads the sum before the buckets, so a record
+    // in the sum is always in the count (a concurrent writer can only make
+    // count run ahead).  count is exactly what the exported buckets hold.
+    EXPECT_LE(lat->sum, lat->count * 42);
+    uint64_t in_buckets = 0;
+    for (const auto& [bound, n] : lat->buckets) in_buckets += n;
+    EXPECT_EQ(in_buckets, lat->count);
   }
   stop.store(true);
   for (auto& t : ts) t.join();

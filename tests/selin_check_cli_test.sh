@@ -96,6 +96,44 @@ if grep -q "ok_1.hist" "$tmp/out"; then
   echo "FAIL: --quiet printed an OK row" >&2
   fails=$((fails + 1))
 fi
+# The lane count never changes a verdict: the --quiet table and the exit code
+# are identical for --jobs 1, 2 and 4.  The set holds a violating file, a
+# long accepting file, and a long file whose parse error sits past the first
+# 512-event read batch (so earlier batches were already fed when it fails).
+long_ok="$tmp/long_ok.hist"
+long_broken="$tmp/long_broken.hist"
+: > "$long_ok"
+for i in $(seq 0 399); do
+  printf 'inv 0 %d Enqueue %d\nres 0 %d Enqueue %d true\n' \
+    "$i" "$i" "$i" "$i" >> "$long_ok"
+  printf 'inv 1 %d Dequeue\nres 1 %d Dequeue %d\n' "$i" "$i" "$i" >> "$long_ok"
+done
+head -n 1200 "$long_ok" > "$long_broken"
+echo "inv 0 9999 Frobnicate 1" >> "$long_broken"
+jobs_set=("${ok_files[@]}" "$tmp/hists/bad_fifo.hist" "$long_ok" "$long_broken")
+"$bin" queue "${jobs_set[@]}" --jobs 1 --quiet > "$tmp/jobs1.out" 2>&1
+jobs1_code=$?
+if [[ "$jobs1_code" != 4 ]] ||
+   ! grep -Eq 'long_broken\.hist +ERROR +1200 +# line 1201: unknown method' \
+     "$tmp/jobs1.out" ||
+   ! grep -Eq 'bad_fifo\.hist +VIOLATION' "$tmp/jobs1.out"; then
+  echo "FAIL: --jobs 1 baseline (exit $jobs1_code) is not the expected table" >&2
+  sed 's/^/  out: /' "$tmp/jobs1.out" >&2
+  fails=$((fails + 1))
+fi
+for j in 2 4; do
+  "$bin" queue "${jobs_set[@]}" --jobs "$j" --quiet > "$tmp/jobs$j.out" 2>&1
+  code=$?
+  if [[ "$code" != "$jobs1_code" ]] ||
+     ! cmp -s "$tmp/jobs1.out" "$tmp/jobs$j.out"; then
+    echo "FAIL: --jobs $j (exit $code) differs from --jobs 1 (exit $jobs1_code)" >&2
+    diff "$tmp/jobs1.out" "$tmp/jobs$j.out" | sed 's/^/  diff: /' >&2
+    fails=$((fails + 1))
+  else
+    echo "ok: --jobs $j table and exit code match --jobs 1"
+  fi
+done
+
 # Usage errors in multi mode: stdin and --witness are single-only.
 expect 2 "$bin" queue "${ok_files[0]}" - --jobs 2
 expect 2 "$bin" queue "${ok_files[@]}" --jobs 2 --witness

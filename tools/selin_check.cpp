@@ -8,8 +8,9 @@
 // Multi-history mode (more than one file, or --jobs given): every file
 // becomes an independent session of a service::MonitorService multiplexed
 // over one shared executor — files are streamed line-at-a-time
-// (HistoryStreamReader), batches are scheduled round-robin, and the
-// sessions' membership tests run concurrently on --jobs worker lanes:
+// (HistoryStreamReader), batches are scheduled round-robin, and both the
+// per-file parsing and the sessions' membership tests run concurrently on
+// --jobs worker lanes:
 //   selin_check <object> file1 file2 ... [--jobs N] [--quiet]
 //               [--threads N|auto] [--tune] [--stats]
 // A per-file verdict summary table is printed at the end (unless --quiet,
@@ -432,6 +433,7 @@ int run_multi(ObjectKind kind, const std::vector<std::string>& files,
     bool has_session = false;
     bool eof = false;
     std::string error;
+    std::vector<Event> batch;  // this round's read (parsed on a lane)
   };
 
   std::unique_ptr<obs::JsonlSink> tsink;
@@ -473,12 +475,16 @@ int run_multi(ObjectKind kind, const std::vector<std::string>& files,
 
   // Stream round-robin: one read batch per live file, then one service
   // drain round, so no single deep file monopolizes either io or the
-  // executor.  A parse error settles that file as ERRORED but the other
+  // executor.  The reads of a round are themselves one phase on the
+  // service's executor: each slice parses one file's batch and feeds it to
+  // that file's session (sessions are independent, so the slices share
+  // nothing), so parsing runs on the --jobs lanes instead of serially on
+  // this thread.  A parse error settles that file as ERRORED but the other
   // sessions keep going.
   constexpr size_t kReadBatch = 512;
-  std::vector<Event> batch;
+  std::vector<FileCtx*> live;
   for (;;) {
-    bool reading = false;
+    live.clear();
     for (FileCtx& c : ctxs) {
       if (c.eof) continue;
       if (c.has_session && !svc.session(c.sid).ok()) {
@@ -487,9 +493,13 @@ int run_multi(ObjectKind kind, const std::vector<std::string>& files,
         c.eof = true;
         continue;
       }
-      batch.clear();
+      live.push_back(&c);
+    }
+    svc.executor()->run_phase(live.size(), [&live, &svc](size_t i) {
+      FileCtx& c = *live[i];
+      c.batch.clear();
       try {
-        if (c.reader->read_batch(batch, kReadBatch) == 0) {
+        if (c.reader->read_batch(c.batch, kReadBatch) == 0) {
           c.eof = true;
           // A dead stream that is not at end-of-file (directory passed as a
           // file, I/O error mid-trace) is a session error, not a clean EOF.
@@ -499,9 +509,10 @@ int run_multi(ObjectKind kind, const std::vector<std::string>& files,
         c.error = e.what();
         c.eof = true;
       }
-      if (!batch.empty()) svc.feed(c.sid, batch);
-      reading = reading || !c.eof;
-    }
+      if (!c.batch.empty()) svc.feed(c.sid, c.batch);
+    });
+    const bool reading = std::any_of(live.begin(), live.end(),
+                                     [](const FileCtx* c) { return !c->eof; });
     if (svc.drain_round() == 0 && !reading) break;
   }
   svc.drain();
